@@ -4,13 +4,8 @@ v2 is project-wide: the tree is parsed once into a
 :class:`~repro.analysis.index.ProjectIndex`, the per-module family
 checkers (DET/OBS/CAMP/PROTO/PERF) run per file as before, and the
 interprocedural pass (:mod:`repro.analysis.interproc`) chases calls
-across modules for OBS005.  An optional :class:`LintCache` keyed on
-module content hashes (plus the import-dependency closure) makes a warm
-run over an unchanged tree re-analyse nothing.
-
-Suppression (pragmas, baseline) is applied *after* analysis on every
-run — cached entries hold raw findings only, so suppression edits never
-need cache invalidation.
+across modules for OBS005.  Suppression (pragmas, baseline) is applied
+*after* analysis, to the raw findings.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from typing import Iterable, Optional
 from repro.analysis import camp, config, det, interproc, perfrule, proto, purity
 from repro.analysis.baseline import PLACEHOLDER_REASON, Baseline
 from repro.analysis.findings import CheckContext, Finding
-from repro.analysis.incremental import LintCache
 from repro.analysis.index import ProjectIndex, build_index
 from repro.analysis.pragmas import parse_pragmas
 from repro.analysis.rules import RULES
@@ -45,12 +39,6 @@ class LintReport:
     files_scanned: int = 0
     parse_errors: list[str] = field(default_factory=list)
     baseline: Baseline = field(default_factory=Baseline)
-    #: Modules the engine actually ran checkers over this run.
-    modules_analysed: list[str] = field(default_factory=list)
-    #: Modules served whole from the incremental cache.
-    modules_cached: list[str] = field(default_factory=list)
-    #: Whether an incremental cache was in play (stats become meaningful).
-    incremental: bool = False
 
     @property
     def active(self) -> list[Finding]:
@@ -152,59 +140,18 @@ def _context_for(
 
 
 def _lint_index(
-    index: ProjectIndex,
-    baseline: Baseline,
-    rules_filter: Optional[set[str]],
-    cache: Optional[LintCache],
-    report: LintReport,
+    index: ProjectIndex, rules_filter: Optional[set[str]], report: LintReport
 ) -> None:
     """Run the v2 pipeline over an already-built index into ``report``."""
-    # rules_filter changes what a module's findings mean, so a filtered
-    # run bypasses the cache entirely rather than poisoning it.
-    use_cache = cache is not None and rules_filter is None
-    names = sorted(index.modules)
-    raw_by_module: dict[str, list[Finding]] = {}
-    dirty: list[str] = []
-    closures: dict[str, dict[str, str]] = {}
-    for name in names:
-        closure_hashes = {name: index.modules[name].content_hash}
-        for dep in index.dep_closure(name):
-            closure_hashes[dep] = index.modules[dep].content_hash
-        closures[name] = closure_hashes
-        cached = cache.lookup(name, closure_hashes) if use_cache else None
-        if cached is not None:
-            raw_by_module[name] = cached
-            report.modules_cached.append(name)
-        else:
-            dirty.append(name)
-    if dirty:
-        # The cross-module pass needs summaries for *callees* of dirty
-        # modules; the index holds every parsed module, so computing
-        # facts over it once covers all of them.
-        facts, summaries = interproc.analyse(index)
-        for name in dirty:
-            info = index.modules[name]
-            context = _context_for(name, info.path, info.source, rules_filter)
-            findings: list[Finding] = []
-            if context is not None:
-                findings = _module_findings(context, info.tree)
-                findings.extend(
-                    interproc.check_module(context, index, facts, summaries)
-                )
-                findings.sort(key=Finding.sort_key)
-            raw_by_module[name] = findings
-            report.modules_analysed.append(name)
-            if use_cache:
-                cache.store(name, closures[name], findings)
-    if use_cache:
-        cache.drop_missing(set(names))
-        cache.save()
-    for name in names:
-        findings = raw_by_module.get(name, [])
-        if findings:
-            _apply_suppressions(
-                findings, index.modules[name].source.splitlines(), baseline
-            )
+    facts, summaries = interproc.analyse(index)
+    for name in sorted(index.modules):
+        info = index.modules[name]
+        context = _context_for(name, info.path, info.source, rules_filter)
+        if context is None:
+            continue
+        findings = _module_findings(context, info.tree)
+        findings.extend(interproc.check_module(context, index, facts, summaries))
+        _apply_suppressions(findings, context.lines, report.baseline)
         report.findings.extend(findings)
     report.findings.sort(key=Finding.sort_key)
 
@@ -213,15 +160,14 @@ def lint_paths(
     paths: Iterable[Path],
     baseline: Optional[Baseline] = None,
     rules_filter: Optional[set[str]] = None,
-    cache: Optional[LintCache] = None,
 ) -> LintReport:
     """Lint every Python file under ``paths`` (the project entry point)."""
-    report = LintReport(baseline=baseline or Baseline(), incremental=cache is not None)
+    report = LintReport(baseline=baseline or Baseline())
     files = iter_python_files(paths)
     index, errors = build_index((module_name_for(path), path) for path in files)
     report.files_scanned = len(files)
     report.parse_errors.extend(errors)
-    _lint_index(index, report.baseline, rules_filter, cache, report)
+    _lint_index(index, rules_filter, report)
     return report
 
 
@@ -239,7 +185,7 @@ def lint_project(
         except SyntaxError as error:
             report.parse_errors.append(f"<{name}>: {error}")
     report.files_scanned = len(sources)
-    _lint_index(index, report.baseline, rules_filter, None, report)
+    _lint_index(index, rules_filter, report)
     return report
 
 

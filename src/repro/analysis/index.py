@@ -1,38 +1,20 @@
 """The project-wide module/symbol index detlint v2 analyses against.
 
 v1 linted one file at a time, so every rule was function-local.  The
-index parses the whole tree once and answers the two questions the
-cross-module passes need:
-
-* *What does this dotted name refer to?* — imports (including aliases,
-  re-exports through package ``__init__`` files, relative imports and
-  ``repro.*`` star imports) are resolved to the defining
-  :class:`FunctionInfo`, so a call site in ``repro.obs`` can be chased
-  into ``repro.experiments``.
-* *What does this module depend on?* — the project-local import graph,
-  both direct (:meth:`ProjectIndex.project_deps`) and transitive
-  (:meth:`ProjectIndex.dep_closure`).  The incremental engine keys its
-  cache on the content hashes of a module's dependency closure, so a
-  module re-lints exactly when something its analysis could have read
-  changed.
-
-Content hashes use the campaign cache's content-addressing idiom
-(sha256 over the bytes that matter, nothing ambient): the hash of a
-module is the sha256 of its source text.
+index parses the whole tree once and answers the question the
+cross-module passes need: *what does this dotted name refer to?*
+Imports (including aliases, re-exports through package ``__init__``
+files, relative imports and ``repro.*`` star imports) are resolved to
+the defining :class:`FunctionInfo`, so a call site in ``repro.obs`` can
+be chased into ``repro.experiments``.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
-
-
-def content_hash(source: str) -> str:
-    """sha256 of the module source — the cache identity of a module."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -61,16 +43,11 @@ class ModuleInfo:
     path: str
     source: str
     tree: ast.Module
-    content_hash: str
     #: local name -> absolute dotted target (``from x import y as z``
     #: binds ``z`` -> ``x.y``; ``import x.y`` binds ``x`` -> ``x``).
     imports: dict[str, str] = field(default_factory=dict)
     #: modules star-imported (``from repro.x import *``), resolved.
     star_imports: list[str] = field(default_factory=list)
-    #: full dotted targets of plain ``import x.y.z`` statements — the
-    #: local binding is only the root package, but the *dependency* is
-    #: the whole submodule, so the graph tracks it separately.
-    direct_imports: list[str] = field(default_factory=list)
     #: top-level function name -> info.
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: class name -> {method name -> info}.
@@ -115,35 +92,26 @@ def _resolve_relative(module_name: str, is_package: bool, level: int, target: st
 
 
 class ProjectIndex:
-    """All indexed modules plus symbol/dependency resolution."""
+    """All indexed modules plus symbol resolution."""
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
-        self._closure_cache: dict[str, frozenset[str]] = {}
 
     # -- construction --------------------------------------------------
 
     def add_source(self, name: str, source: str, path: str, *, is_package: bool = False) -> ModuleInfo:
         """Parse and index one module (raises SyntaxError on bad source)."""
         tree = ast.parse(source, filename=path)
-        info = ModuleInfo(
-            name=name,
-            path=path,
-            source=source,
-            tree=tree,
-            content_hash=content_hash(source),
-        )
+        info = ModuleInfo(name=name, path=path, source=source, tree=tree)
         self._collect_imports(info, is_package=is_package)
         self._collect_definitions(info)
         self.modules[name] = info
-        self._closure_cache.clear()
         return info
 
     def _collect_imports(self, info: ModuleInfo, *, is_package: bool) -> None:
         for node in ast.walk(info.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    info.direct_imports.append(alias.name)
                     if alias.asname:
                         info.imports[alias.asname] = alias.name
                     else:
@@ -304,42 +272,6 @@ class ProjectIndex:
                 if found is not None:
                     return found
         return None
-
-    # -- dependency graph ----------------------------------------------
-
-    def project_deps(self, name: str) -> set[str]:
-        """Indexed modules ``name`` imports (directly)."""
-        info = self.modules.get(name)
-        if info is None:
-            return set()
-        deps: set[str] = set()
-        targets = (
-            list(info.imports.values())
-            + list(info.star_imports)
-            + list(info.direct_imports)
-        )
-        for target in targets:
-            split = self._split_module_prefix(target)
-            if split is not None and split[0].name != name:
-                deps.add(split[0].name)
-        return deps
-
-    def dep_closure(self, name: str) -> frozenset[str]:
-        """Transitive project dependencies of ``name`` (cycle-safe)."""
-        cached = self._closure_cache.get(name)
-        if cached is not None:
-            return cached
-        closure: set[str] = set()
-        stack = [name]
-        while stack:
-            current = stack.pop()
-            for dep in self.project_deps(current):
-                if dep not in closure and dep != name:
-                    closure.add(dep)
-                    stack.append(dep)
-        result = frozenset(closure)
-        self._closure_cache[name] = result
-        return result
 
 
 def build_index(

@@ -51,15 +51,6 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
         f"{len(report.pragma_suppressed)} pragma-suppressed, "
         f"{len(report.baseline_suppressed)} baseline-suppressed"
     )
-    if report.incremental:
-        lines.append(
-            f"detlint cache: {len(report.modules_analysed)} module(s) "
-            f"re-analysed, {len(report.modules_cached)} served from cache"
-        )
-        if verbose and report.modules_analysed:
-            lines.append(
-                "    re-analysed: " + ", ".join(sorted(report.modules_analysed))
-            )
     return "\n".join(lines)
 
 
@@ -67,9 +58,6 @@ def render_json(report: LintReport) -> dict[str, Any]:
     """The machine-readable report (CI artifact / --json)."""
     return {
         "files_scanned": report.files_scanned,
-        "incremental": report.incremental,
-        "modules_analysed": sorted(report.modules_analysed),
-        "modules_cached": sorted(report.modules_cached),
         "parse_errors": list(report.parse_errors),
         "findings": [finding.to_jsonable() for finding in report.findings],
         "counts": {

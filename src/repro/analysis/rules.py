@@ -195,12 +195,11 @@ _RULE_LIST = [
         "PERF002",
         "PERF",
         "per-event object construction inside a dispatch loop",
-        "The event-dispatch loops are the hottest code in the tree, and "
-        "the array-backed core exists precisely to eliminate per-event "
-        "allocation there; a constructor call per loop iteration inside "
-        "run()/run_until()/dispatch-style functions reintroduces it — "
-        "preallocate, pool, or carry plain tuples instead "
-        "(see repro.sim.arraycore's free-list event pool).",
+        "The event-dispatch loops (repro.sim.loop's run()/run_until()) "
+        "are the hottest code in the tree and allocate nothing per "
+        "dispatched event; a constructor call per loop iteration inside "
+        "run()/run_until()/dispatch-style functions adds that cost to "
+        "every event — preallocate or carry plain tuples instead.",
     ),
 ]
 

@@ -62,18 +62,14 @@ from repro.workload.ycsb import YcsbProfile
 # 5 — RunSpec payloads gained a population entry (repro.population
 # aggregate-client backend) and client_stats gained aggregate-pool
 # counters for population runs.
-# 6 — sharded campaign execution: the new KIND_SHARD job kind (a sim
-# payload plus a "shard" cohort descriptor) and the deterministic
-# shard-merge reducer entered the result pipeline (repro.campaign.shard).
-CACHE_SCHEMA = 6
+# 6 — sharded campaign execution: a "sim-shard" job kind (a sim payload
+# plus a cohort descriptor) and a shard-merge reducer.
+# 7 — sharded execution removed: K clusters at C/K clients change the
+# per-replica load, so no schema-6 cohort entry may match again.
+CACHE_SCHEMA = 7
 
 KIND_SIM = "sim"
 KIND_CELL = "tab1-cell"
-# One cohort slice of a sharded sim run (repro.campaign.shard): the
-# payload is a derived KIND_SIM payload (fewer clients, offset seed,
-# keep_metrics forced on) plus a "shard" metadata entry, so keys are
-# shard-aware while payload_to_spec reads it like any sim payload.
-KIND_SHARD = "sim-shard"
 
 _FAULT_TYPES = {
     cls.__name__: cls

@@ -26,7 +26,7 @@ from multiprocessing import get_context
 from typing import Any, Callable, Optional
 
 from repro.campaign.cache import MISS, ResultCache, result_fingerprint, should_verify
-from repro.campaign.plan import KIND_CELL, KIND_SHARD, KIND_SIM, Job, payload_to_spec
+from repro.campaign.plan import KIND_CELL, KIND_SIM, Job, payload_to_spec
 
 
 class CacheVerificationError(RuntimeError):
@@ -35,13 +35,9 @@ class CacheVerificationError(RuntimeError):
 
 def execute_payload(kind: str, payload: dict[str, Any]) -> Any:
     """Run one job payload to completion (also the worker entry point)."""
-    if kind == KIND_SIM or kind == KIND_SHARD:
+    if kind == KIND_SIM:
         from repro.cluster.runner import run_experiment
 
-        # A shard payload is a sim payload plus a "shard" descriptor;
-        # payload_to_spec reads its fixed key set, so the descriptor
-        # only matters for the job key (shard-aware caching) and for
-        # the merge bookkeeping in repro.campaign.shard.
         result = run_experiment(payload_to_spec(payload))
         # Probed runs carry a hub only as scaffolding for the detectors,
         # which already ran (result.findings); drop it so pickled cache
@@ -218,8 +214,6 @@ def _execute_parallel(
     pending: list[Job], stats: ExecutionStats, echo: Callable[[str], None]
 ) -> dict[str, tuple[Any, float]]:
     """Fan the pending jobs out over a spawn pool; keyed merge."""
-    from repro.sim.cores import get_default_core, set_default_core
-
     items = [(job.key, job.kind, dict(job.payload)) for job in pending]
     by_key = {job.key: job for job in pending}
     executed: dict[str, tuple[Any, float]] = {}
@@ -227,12 +221,6 @@ def _execute_parallel(
     with ProcessPoolExecutor(
         max_workers=min(stats.workers, len(items)),
         mp_context=context,
-        # Spawn workers import repro fresh, so the parent's event-core
-        # choice (--sim-core / REPRO_SIM_CORE) must be re-applied in
-        # each worker.  Results are core-independent by contract; this
-        # only decides how fast the workers run.
-        initializer=set_default_core,
-        initargs=(get_default_core(),),
     ) as pool:
         futures = {pool.submit(_pool_worker, item) for item in items}
         while futures:

@@ -41,10 +41,6 @@ def render_summary(result: CampaignResult) -> str:
         f"  workers     : {stats.workers}"
         + (" (pool unavailable; ran serially)" if stats.pool_fallback else ""),
     ]
-    if result.options.shards > 1:
-        lines.append(
-            f"  shards      : {result.options.shards} cohort(s) per shardable run"
-        )
     if result.options.cache_dir is not None:
         lines.insert(
             4,
@@ -132,41 +128,6 @@ def render_slowest(result: CampaignResult, k: int) -> str:
     return "\n".join(lines)
 
 
-def render_shards(result: CampaignResult) -> str:
-    """Per-shard profile rows, grouped by base run (stderr).
-
-    Shard jobs carry ``<base label>#shard<i>of<K>`` labels (see
-    :func:`repro.campaign.shard.shard_job`); this groups their profiles
-    back under the base run so a skewed cohort — one shard much slower
-    than its siblings — is visible at a glance.  Empty string when the
-    campaign ran unsharded.
-    """
-    groups: dict[str, list[dict[str, Any]]] = {}
-    for profile in result.stats.job_profiles:
-        label = profile.get("label", "")
-        base, separator, _ = label.rpartition("#shard")
-        if separator:
-            groups.setdefault(base, []).append(profile)
-    if not groups:
-        return ""
-    lines = [f"Shard profiles for {len(groups)} sharded run(s):"]
-    for base in sorted(groups):
-        lines.append(f"  {base}")
-        lines.append("    shard        wall      events     ev/s")
-        for profile in sorted(groups[base], key=lambda p: p["label"]):
-            shard_text = profile["label"].rpartition("#")[2]
-            dispatched = profile.get("dispatched_events")
-            rate = profile.get("events_per_sec")
-            events_text = f"{dispatched:>9,}" if dispatched is not None else "        -"
-            rate_text = f"{rate:>10,.0f}" if rate else "         -"
-            cached_text = " (cached)" if profile.get("cached") else ""
-            lines.append(
-                f"    {shard_text:<10} {profile['wall_seconds']:6.2f}s "
-                f"{events_text}  {rate_text}{cached_text}"
-            )
-    return "\n".join(lines)
-
-
 def report_jsonable(result: CampaignResult) -> dict[str, Any]:
     """The machine-readable campaign report (CI artifact)."""
     options: CampaignOptions = result.options
@@ -185,7 +146,6 @@ def report_jsonable(result: CampaignResult) -> dict[str, Any]:
             "verify_failures": stats.verify_failures,
             "inline_misses": stats.inline_misses,
             "workers": stats.workers,
-            "shards": options.shards,
             "pool_fallback": stats.pool_fallback,
             "cache_entries": stats.cache_entries,
             "cache_bytes": stats.cache_bytes,

@@ -11,7 +11,7 @@ multiple seeded runs by the experiment layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional
 
 from repro.cluster.builder import Cluster, build_cluster
 from repro.cluster.faults import FaultSchedule
@@ -63,11 +63,10 @@ class RunSpec:
     # `observe` — probing rides the same sampling tick, so a probed run
     # is byte-identical to an observed one (and to a bare one).
     probes: bool = False
-    # Event-core backend ("tuple"/"array", see repro.sim.cores); None
-    # uses the process default (CLI --sim-core / REPRO_SIM_CORE).  Both
-    # cores dispatch identically — the equivalence suite gates that —
-    # so this is a speed knob and is excluded from campaign cache keys.
-    core: Optional[str] = None
+    # Not a field (RunSpec(core=...) is a TypeError) and always None:
+    # there is one event loop.  Kept only because perfbench/workloads.py
+    # reads spec.core.
+    core: ClassVar[Optional[str]] = None
 
     def __post_init__(self) -> None:
         if self.warmup >= self.duration:
@@ -93,7 +92,6 @@ def run_experiment(spec: RunSpec) -> ExperimentResult:
         start_clients=spec.arrivals is None or spec.population is not None,
         population=spec.population,
         arrivals=spec.arrivals if spec.population is not None else None,
-        core=spec.core,
     )
     driver = None
     if spec.arrivals is not None and spec.population is None:

@@ -9,8 +9,6 @@ module to audit when a run behaves differently across shells.
 * ``REPRO_RUNS`` — seeded runs per data point (default 2).
 * ``REPRO_DURATION`` — measured run length in simulated seconds.
 * ``REPRO_TAB1_REQUESTS`` — request count for Table 1's traffic cells.
-* ``REPRO_SIM_CORE`` — event-core backend (``tuple``/``array``); the
-  CLI seeds the process default from it (``--sim-core`` wins).
 """
 
 from __future__ import annotations
@@ -41,13 +39,3 @@ def default_duration() -> float:
 def tab1_requests() -> int:
     """Requests per Table 1 traffic cell (paper: 1,000,000)."""
     return env_int("REPRO_TAB1_REQUESTS", 200_000)
-
-
-def default_sim_core() -> str:
-    """Event-core backend name (``repro.sim.cores``; default ``tuple``).
-
-    Only a default: ``--sim-core`` (applied by the CLI via
-    ``set_default_core``) and an explicit ``RunSpec.core`` both beat it.
-    The name is validated where it is applied, not here.
-    """
-    return os.environ.get("REPRO_SIM_CORE", "tuple")

@@ -25,22 +25,18 @@ from typing import Any, Optional
 import repro
 from repro.perf.scenarios import (
     PerfResult,
-    arraycore_churn,
     event_churn,
     fig2_slice,
     net_multicast,
-    sharded_fig2,
     timer_restart_storm,
 )
 
 #: Scenario name -> callable(scale) in canonical (report) order.
 SCENARIOS = {
     "event_churn": event_churn,
-    "arraycore_churn": arraycore_churn,
     "timer_restart_storm": timer_restart_storm,
     "net_multicast": net_multicast,
     "fig2_slice": fig2_slice,
-    "sharded_fig2": sharded_fig2,
 }
 
 DEFAULT_BASELINE_DIR = Path("benchmarks") / "baselines"
@@ -115,8 +111,8 @@ def write_perf_baseline(
 
     A re-bless only replaces the measurements: the previous baseline's
     ``notes`` (the human record of *why* the numbers are what they are)
-    and its ``tolerance`` block (including per-metric overrides for
-    noisier scenarios) carry forward unless explicitly overridden.
+    and its ``tolerance`` block carry forward unless explicitly
+    overridden.
     """
     metrics: dict[str, float] = {}
     for result in results:
@@ -232,20 +228,12 @@ def check_perf_baseline(
             )
         )
         return report
-    tolerance = document.get("tolerance", {})
-    relative = float(tolerance.get("relative", DEFAULT_RELATIVE_TOLERANCE))
-    # Per-metric overrides widen the band for intrinsically noisier
-    # scenarios (pool startup in sharded_fig2 swings with machine load).
-    per_metric = tolerance.get("per_metric", {})
+    relative = float(
+        document.get("tolerance", {}).get("relative", DEFAULT_RELATIVE_TOLERANCE)
+    )
     metrics = document.get("metrics", {})
     for result in results:
-        rate_metric = f"{result.scenario}.events_per_sec"
-        _check_rate(
-            report,
-            metrics,
-            result,
-            float(per_metric.get(rate_metric, relative)),
-        )
+        _check_rate(report, metrics, result, relative)
         _check_count(report, metrics, result)
     return report
 

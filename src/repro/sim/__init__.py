@@ -11,16 +11,6 @@ stations that create realistic queueing behaviour under load
 All simulated time is expressed in seconds as floats.
 """
 
-from repro.sim.arraycore import ArrayEvent, ArrayEventLoop
-from repro.sim.cores import (
-    CORE_ARRAY,
-    CORE_TUPLE,
-    CORES,
-    get_default_core,
-    make_loop,
-    set_default_core,
-    use_core,
-)
 from repro.sim.errors import SimulationError, StoppedError
 from repro.sim.loop import EventLoop, Event
 from repro.sim.monitor import (
@@ -35,18 +25,9 @@ from repro.sim.rng import RngRegistry
 from repro.sim.timers import RestartableTimer, Timer
 
 __all__ = [
-    "ArrayEvent",
-    "ArrayEventLoop",
-    "CORES",
-    "CORE_ARRAY",
-    "CORE_TUPLE",
     "CounterSeries",
     "Event",
     "EventLoop",
-    "get_default_core",
-    "make_loop",
-    "set_default_core",
-    "use_core",
     "IntervalRecorder",
     "LatencyRecorder",
     "Processor",

@@ -363,18 +363,18 @@ def test_scopes_follow_the_architecture():
     # repro.cluster composes hubs, so OBS003 spares it.
     assert not rule_applies("OBS003", "repro.cluster.runner")
     assert rule_applies("OBS003", "repro.protocols.base")
-    # PERF001 polices the dispatch/send hot paths plus the shard-merge
-    # sample loops; PERF002's no-allocation contract is repro.sim only.
+    # PERF001 polices only the dispatch/send hot paths; PERF002's
+    # no-allocation contract is repro.sim only.
     assert rule_applies("PERF001", "repro.sim.loop")
-    assert rule_applies("PERF001", "repro.sim.arraycore")
+    assert rule_applies("PERF001", "repro.sim.timers")
     assert rule_applies("PERF001", "repro.net.network")
-    assert rule_applies("PERF001", "repro.campaign.shard")
+    assert not rule_applies("PERF001", "repro.campaign.pool")
     assert not rule_applies("PERF001", "repro.campaign.engine")
     assert not rule_applies("PERF001", "repro.protocols.paxos")
-    assert rule_applies("PERF002", "repro.sim.arraycore")
+    assert rule_applies("PERF002", "repro.sim.timers")
     assert rule_applies("PERF002", "repro.sim.loop")
     assert not rule_applies("PERF002", "repro.net.network")
-    assert not rule_applies("PERF002", "repro.campaign.shard")
+    assert not rule_applies("PERF002", "repro.campaign.engine")
     # PROTO guards topology consumers, never the protocol config itself.
     assert rule_applies("PROTO001", "repro.cluster.builder")
     assert rule_applies("PROTO003", "repro.experiments.common")
@@ -537,7 +537,7 @@ def test_perf002_flags_attribute_constructor_in_run_until():
             entry = events.Record(self._heap.pop())
             entry.apply()
     """
-    assert "PERF002" in active_rules(lint(source, "repro.sim.arraycore"))
+    assert "PERF002" in active_rules(lint(source, "repro.sim.loop"))
 
 
 def test_perf002_spares_non_dispatch_functions():
@@ -550,7 +550,7 @@ def test_perf002_spares_non_dispatch_functions():
             kept.append(Entry(entry))
         return kept
     """
-    assert active_rules(lint(source, "repro.sim.arraycore")) == []
+    assert active_rules(lint(source, "repro.sim.timers")) == []
 
 
 def test_perf002_spares_exception_constructors():

@@ -27,6 +27,10 @@ class TestBuilder:
         with pytest.raises(ValueError):
             build_cluster("idem", 0)
 
+    def test_event_core_cannot_be_selected(self):
+        with pytest.raises(ValueError, match="event core"):
+            build_cluster("idem", 2, core="array")
+
     def test_build_config_applies_overrides(self):
         config = build_config("idem", ClusterProfile(), {"reject_threshold": 20})
         assert isinstance(config, IdemConfig)
@@ -143,6 +147,11 @@ class TestRunner:
     def test_warmup_must_be_shorter_than_duration(self):
         with pytest.raises(ValueError):
             RunSpec(system="idem", clients=1, duration=1.0, warmup=1.0)
+
+    def test_event_core_is_not_a_run_field(self):
+        with pytest.raises(TypeError):
+            RunSpec(system="idem", clients=2, core="array")
+        assert RunSpec(system="idem", clients=2).core is None
 
     def test_result_fields(self):
         spec = RunSpec(

@@ -262,3 +262,14 @@ class TestCli:
         from repro.cli import main
 
         assert main(["nope"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["--sim-core", "array", "--list"], ["campaign", "--shards", "2"]]
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

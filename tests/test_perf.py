@@ -160,21 +160,6 @@ def test_unknown_scenario_in_run_is_a_new_metric(tmp_path):
     assert {entry.status for entry in report.entries} == {"new-metric"}
 
 
-def test_per_metric_tolerance_widens_one_scenarios_band(tmp_path):
-    import json
-
-    write_perf_baseline(tmp_path, [fake_result(rate=1000.0)], scale=1.0)
-    path = tmp_path / BASELINE_NAME
-    document = json.loads(path.read_text())
-    document["tolerance"]["per_metric"] = {"event_churn.events_per_sec": 0.6}
-    path.write_text(json.dumps(document))
-    # 500 is outside the default -40% band but inside the -60% override.
-    report = check_perf_baseline(tmp_path, [fake_result(rate=500.0)], scale=1.0)
-    assert report.ok
-    report = check_perf_baseline(tmp_path, [fake_result(rate=350.0)], scale=1.0)
-    assert not report.ok
-
-
 def test_rebless_carries_notes_and_tolerance_forward(tmp_path):
     import json
 
@@ -183,16 +168,14 @@ def test_rebless_carries_notes_and_tolerance_forward(tmp_path):
     )
     path = tmp_path / BASELINE_NAME
     document = json.loads(path.read_text())
-    document["tolerance"]["per_metric"] = {"sharded_fig2.events_per_sec": 0.6}
+    document["tolerance"]["relative"] = 0.25
     path.write_text(json.dumps(document))
     # A plain re-bless must only replace the measurements: the human
-    # notes and the per-metric tolerance overrides survive.
+    # notes and the tolerance band survive.
     write_perf_baseline(tmp_path, [fake_result(rate=2000.0)], scale=1.0)
     document = load_perf_baseline(tmp_path)
     assert document["notes"] == {"why": "measured"}
-    assert document["tolerance"]["per_metric"] == {
-        "sharded_fig2.events_per_sec": 0.6
-    }
+    assert document["tolerance"]["relative"] == 0.25
     assert document["metrics"]["event_churn.events_per_sec"] == 2000.0
 
 

@@ -51,40 +51,6 @@ def test_fig2_is_byte_identical_with_auto_drain_off(monkeypatch):
     assert _render_fig2() == golden
 
 
-def test_fig2_is_byte_identical_on_the_array_core():
-    """The array-backed core is opt-in perf work under the same gate:
-    the whole fig2 slice — clusters, timers, network, metrics — must
-    render byte-for-byte the pre-optimisation golden with it enabled."""
-    from repro.sim.cores import use_core
-
-    golden = (GOLDEN_DIR / "fig2_golden.txt").read_text(encoding="utf-8")
-    with use_core("array"):
-        assert _render_fig2() == golden
-
-
-def test_fig6_is_byte_identical_on_the_array_core():
-    from repro.sim.cores import use_core
-
-    golden = (GOLDEN_DIR / "fig6_golden.txt").read_text(encoding="utf-8")
-    with use_core("array"):
-        assert _render_fig6() == golden
-
-
-def test_figR_renders_identically_on_both_cores():
-    """No committed figR golden exists, so compare the cores directly:
-    the retry-storm experiment (hedging, retries, give-ups — heavy
-    cancel traffic) must render the same text on either core."""
-    from repro.experiments import figR_retry_storm as figR
-    from repro.sim.cores import use_core
-
-    def render() -> str:
-        return figR.render(figR.run(quick=True, runs=1, duration=0.2))
-
-    baseline = render()
-    with use_core("array"):
-        assert render() == baseline
-
-
 def test_golden_files_are_committed():
     for name in ("fig2_golden.txt", "fig6_golden.txt"):
         path = GOLDEN_DIR / name
