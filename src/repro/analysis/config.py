@@ -146,6 +146,7 @@ MUTATING_METHODS = frozenset(
         "multicast_peers",
         "pop",
         "popleft",
+        "post_after",
         "push",
         "recover",
         "remove",

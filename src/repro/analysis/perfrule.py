@@ -5,7 +5,7 @@ millions of iterations per experiment; a repeated attribute-chain
 lookup inside such a loop costs real wall time (see
 ``docs/SIMULATOR.md``, Performance).  PERF001 flags calls to known-hot
 callables made through a multi-hop attribute chain (``self._loop
-.call_after(...)``, ``self.traffic.record(...)``) — or through the
+.post_after(...)``, ``self.traffic.record(...)``) — or through the
 ``heapq`` module object — from inside a ``while``/``for`` body.  The
 fix is mechanical: bind the bound method (or function) to a local
 before the loop, which also reads as a declaration of what the loop is
@@ -38,6 +38,7 @@ HOT_CALLABLES = frozenset(
         "heapify",
         "heappop",
         "heappush",
+        "post_after",
         "record",
         "sample",
         "size_bytes",

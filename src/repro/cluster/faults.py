@@ -149,7 +149,7 @@ class LossWindow(Fault):
         network = cluster.network
         base = network.loss_probability
         network.loss_probability = self.probability
-        cluster.loop.call_after(self.duration, self._restore, network, base)
+        cluster.loop.post_after(self.duration, self._restore, network, base)
 
     @staticmethod
     def _restore(network, base: float) -> None:
@@ -178,7 +178,7 @@ class SlowReplica(Fault):
             return
         base = replica.processor.speed
         replica.processor.set_speed(base / self.factor)
-        cluster.loop.call_after(self.duration, self._restore, cluster, base)
+        cluster.loop.post_after(self.duration, self._restore, cluster, base)
 
     def _restore(self, cluster, base: float) -> None:
         # Look the replica up again: it may have crashed and been
@@ -207,7 +207,7 @@ class LatencySpike(Fault):
             return
         address = replica_address(self.target)
         cluster.network.set_latency_scale(address, self.factor)
-        cluster.loop.call_after(
+        cluster.loop.post_after(
             self.duration, cluster.network.clear_latency_scale, address
         )
 

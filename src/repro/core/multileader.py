@@ -242,7 +242,7 @@ class MultiLeaderIdemReplica(IdemReplica):
     # ------------------------------------------------------------------
 
     def _on_executed(self, rid: Rid, request, result: Any) -> None:
-        entry = self.active.pop(rid, None)
+        entry = self._free_slot(rid)
         if entry is not None:
             self.acceptance.observe_completion(self.loop.now - entry.accept_time)
         if self.view == 0:

@@ -74,8 +74,11 @@ class IdemReplica(BaseReplica):
         super().__init__(index, loop, network, config, state_machine, rng)
         self.config: IdemConfig = config
         self.acceptance = make_acceptance_test(config)
-        # Accepted, not yet executed client requests (the slots).
+        # Accepted, not yet executed client requests (the slots).  Only
+        # _occupy_slot/_free_slot change it, keeping the per-client index
+        # of the same rids in step (the dedup sweep reads one client's).
         self.active: dict[Rid, ActiveRequest] = {}
+        self._active_by_client: dict[int, set[Rid]] = {}
         # Newest active rid per client, for stale-slot supersession.
         self._latest_active: dict[int, Rid] = {}
         # Bodies we own: active requests plus committed ones not yet
@@ -100,7 +103,7 @@ class IdemReplica(BaseReplica):
                 Fetch: self._on_fetch,
             }
         )
-        loop.call_after(config.forward_check_interval, self._forward_sweep)
+        loop.post_after(config.forward_check_interval, self._forward_sweep)
 
     # ------------------------------------------------------------------
     # Client requests and the acceptance test
@@ -128,13 +131,11 @@ class IdemReplica(BaseReplica):
         # so a sustained non-zero count is the active-slot leak
         # (the active_set_leak drift rule).
         executed_onr = self.executed_onr
-        state["dead_slots"] = float(
-            sum(
-                1
-                for rid in self.active
-                if executed_onr.get(rid[0], 0) >= rid[1]
-            )
-        )
+        dead = 0
+        for cid, rids in self._active_by_client.items():
+            executed = executed_onr.get(cid, 0)
+            dead += sum(1 for rid in rids if rid[1] <= executed)
+        state["dead_slots"] = float(dead)
         return state
 
     def _on_request(self, src: Address, message: Request) -> None:
@@ -171,18 +172,43 @@ class IdemReplica(BaseReplica):
                     getattr(self.acceptance, "threshold", None),
                     self.acceptance.last_reason,
                 )
-            self._release_dedup_dead(rid[0])
+            if rid[0] in self._active_by_client:
+                self._release_dedup_dead(rid[0])
             self._cache_rejected(message)
             self.send(src, Reject(rid))
+
+    def _occupy_slot(self, rid: Rid, entry: ActiveRequest) -> None:
+        """Put ``entry`` into the active set (every insertion goes here)."""
+        self.active[rid] = entry
+        rids = self._active_by_client.get(rid[0])
+        if rids is None:
+            self._active_by_client[rid[0]] = {rid}
+        else:
+            rids.add(rid)
+
+    def _free_slot(self, rid: Rid) -> Optional[ActiveRequest]:
+        """Remove ``rid`` from the active set, if present (every removal
+        goes here); returns the freed entry."""
+        entry = self.active.pop(rid, None)
+        if entry is not None:
+            cid = rid[0]
+            rids = self._active_by_client[cid]
+            rids.discard(rid)
+            if not rids:
+                del self._active_by_client[cid]
+        return entry
 
     def _accept_request(self, request: Request) -> None:
         """Occupy a slot for ``request`` and hand its id to the ordering stage."""
         rid = request.rid
-        self.active[rid] = ActiveRequest(request, self.loop.now)
+        self._occupy_slot(rid, ActiveRequest(request, self.loop.now))
         self.request_store[rid] = request
         self.stats["accepted"] += 1
         self._supersede_stale_active(rid)
-        self._release_dedup_dead(rid[0])
+        # ``rid`` itself passed the dedup check on the way in, so only a
+        # client holding other slots can have dead ones.
+        if len(self._active_by_client[rid[0]]) > 1:
+            self._release_dedup_dead(rid[0])
         self._route_require(rid)
         if not self._progress_timer.running:
             self._progress_timer.start()
@@ -201,7 +227,7 @@ class IdemReplica(BaseReplica):
         if previous is not None and previous[1] < onr:
             entry = self.active.get(previous)
             if entry is not None and previous not in self.proposed_rids:
-                del self.active[previous]
+                self._free_slot(previous)
                 self.request_store.pop(previous, None)
                 self._cache_rejected(entry.request)
         self._latest_active[cid] = rid
@@ -221,16 +247,22 @@ class IdemReplica(BaseReplica):
         wedge analysed in ``docs/RESILIENCE.md``).  Sweeping the
         client's dead entries on every request — accepted or rejected —
         closes the leak; bodies move to the rejected cache so a late
-        proposal or fetch by another replica can still be served.
+        proposal or fetch by another replica can still be served.  The
+        per-client index makes the sweep O(the client's own entries).
         """
         executed = self.executed_onr.get(cid, 0)
         if not executed:
             return
-        dead = sorted(
-            rid for rid in self.active if rid[0] == cid and rid[1] <= executed
-        )
+        rids = self._active_by_client.get(cid)
+        if rids is None:
+            return
+        dead = []
+        for rid in rids:
+            if rid[1] <= executed:
+                dead.append(rid)
+        dead.sort()
         for rid in dead:
-            entry = self.active.pop(rid)
+            entry = self._free_slot(rid)
             self.request_store.pop(rid, None)
             self._cache_rejected(entry.request)
 
@@ -420,20 +452,21 @@ class IdemReplica(BaseReplica):
             self._require_first_seen.pop(rid, None)
         # Retry stalled executions (e.g. a lost Forward answer).
         self._try_execute()
-        self.loop.call_after(self.config.forward_check_interval, self._forward_sweep)
+        self.loop.post_after(self.config.forward_check_interval, self._forward_sweep)
 
     # ------------------------------------------------------------------
     # Execution, slots and implicit garbage collection
     # ------------------------------------------------------------------
 
     def _on_executed(self, rid: Rid, request: Request, result: Any) -> None:
-        entry = self.active.pop(rid, None)  # free the slot
+        entry = self._free_slot(rid)
         if entry is not None:
             self.acceptance.observe_completion(self.loop.now - entry.accept_time)
         # Executing (cid, onr) dedup-kills every lower active entry of
         # the client; free them now rather than waiting for its next
         # request (which during think time can be a second away).
-        self._release_dedup_dead(rid[0])
+        if rid[0] in self._active_by_client:
+            self._release_dedup_dead(rid[0])
         if self.is_leader:
             self._reply_to_client(rid, result)
         else:
@@ -484,7 +517,7 @@ class IdemReplica(BaseReplica):
             return self.executed_onr.get(rid[0], 0) >= rid[1]
 
         for rid in [r for r in self.active if covered(r)]:
-            del self.active[rid]
+            self._free_slot(rid)
         for rid in [r for r in self.request_store if covered(r)]:
             del self.request_store[rid]
         for rid in [r for r in self.proposed_rids if covered(r)]:

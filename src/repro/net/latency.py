@@ -12,6 +12,8 @@ import math
 import random
 from abc import ABC, abstractmethod
 
+from repro.sim.rng import lognormal
+
 
 class LatencyModel(ABC):
     """Samples one-way message latencies in seconds."""
@@ -76,7 +78,7 @@ class LogNormalLatency(LatencyModel):
         self._mu = math.log(median)
 
     def sample(self, rng: random.Random) -> float:
-        return self.floor + rng.lognormvariate(self._mu, self.sigma)
+        return self.floor + lognormal(rng.random, self._mu, self.sigma)
 
     def mean(self) -> float:
         return self.floor + math.exp(self._mu + self.sigma**2 / 2.0)

@@ -210,7 +210,7 @@ class Network:
             delay *= scale.get(src, 1.0) * scale.get(dst, 1.0)
         if self.egress_bandwidth is not None:
             delay += self._serialization_delay(src, size)
-        self._loop.call_after(delay, self._deliver, src, dst, message)
+        self._loop.post_after(delay, self._deliver, src, dst, message)
 
     def _serialization_delay(self, src: Address, size: int) -> float:
         """Queue ``size`` bytes onto the sender's egress link.

@@ -455,7 +455,7 @@ class AggregateClientNode:
                 op.grace_armed = True
                 # Grace deadlines are short and timing-sensitive, so
                 # they get a precise per-request event.
-                self.loop.call_after(
+                self.loop.post_after(
                     self._grace, self._on_grace, message.rid, op.attempt
                 )
 
@@ -480,7 +480,7 @@ class AggregateClientNode:
             del self._active[rid]
             # The virtual client keeps its cid through the retry delay
             # (it is still mid-operation), then re-attempts.
-            self.loop.call_after(decision.delay, self._issue_attempt, op)
+            self.loop.post_after(decision.delay, self._issue_attempt, op)
             return
         del self._active[rid]
         if outcome == "reject":
@@ -525,7 +525,7 @@ class AggregateClientNode:
         if self.arrivals is not None:
             # Open loop: the client rejoins the idle pool after ``delay``.
             if delay > 0.0:
-                self.loop.call_after(delay, self._return_to_pool)
+                self.loop.post_after(delay, self._return_to_pool)
             else:
                 self._available += 1
             return
@@ -536,7 +536,7 @@ class AggregateClientNode:
                 # as exponential with the same mean — see WORKLOADS.md.)
                 self._think += 1
             else:
-                self.loop.call_after(delay, self._issue_fresh)
+                self.loop.post_after(delay, self._issue_fresh)
             return
         # Exact closed loop.
         if self.stopped or now >= self.stop_time:
@@ -551,7 +551,7 @@ class AggregateClientNode:
             self._running -= 1
             return
         if delay > 0.0:
-            self.loop.call_after(delay, self._issue_fresh, cid)
+            self.loop.post_after(delay, self._issue_fresh, cid)
         else:
             self._issue_fresh(cid)
 
@@ -636,7 +636,7 @@ class AggregateClientNode:
     def _schedule_tick(self) -> None:
         interval = self.population.feedback_interval
         if self.loop.now + interval <= self.stop_time:
-            self.loop.call_after(interval, self._tick)
+            self.loop.post_after(interval, self._tick)
 
     def _tick(self) -> None:
         if self.stopped:

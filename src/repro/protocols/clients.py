@@ -154,7 +154,7 @@ class BaseClient(NetworkNode):
         if self.schedule is not None and (
             self.cid >= self.schedule.active_clients(self.loop.now)
         ):
-            self.loop.call_after(_SCHEDULE_POLL, self._issue_next)
+            self.loop.post_after(_SCHEDULE_POLL, self._issue_next)
             return
         self.current_command = self.workload.next_command(self._ops_rng)
         self.commands_started += 1
@@ -187,7 +187,7 @@ class BaseClient(NetworkNode):
         if self.driver is not None:
             self.driver.client_finished(self, delay)
         else:
-            self.loop.call_after(delay, self._issue_next)
+            self.loop.post_after(delay, self._issue_next)
 
     def _reset_operation_state(self) -> None:
         """Hook: clear per-operation state before sending a new request."""
@@ -304,7 +304,7 @@ class BaseClient(NetworkNode):
         if self.obs is not None:
             self.obs.on_retry(self.current_rid, outcome, self.attempt, decision.delay)
         self.current_rid = None
-        self.loop.call_after(decision.delay, self._issue_attempt)
+        self.loop.post_after(decision.delay, self._issue_attempt)
 
     def _abandon_operation(self, decision) -> None:
         """Terminal abandonment: fallback (while the per-operation state

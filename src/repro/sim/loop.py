@@ -1,15 +1,19 @@
 """The deterministic event loop at the heart of the simulator.
 
-The loop maintains a priority queue of :class:`Event` objects keyed by
+The loop maintains a priority queue of scheduled callbacks keyed by
 ``(time, sequence_number)``.  The sequence number breaks ties between
 events scheduled for the same instant, which makes every simulation run
 bit-for-bit reproducible for a given seed: two events scheduled for the
 same simulated time always fire in the order they were scheduled.
 
-Heap entries are plain ``(time, seq, event)`` tuples rather than the
-events themselves, so every sift inside ``heappush``/``heappop``
-compares tuples in C instead of calling ``Event.__lt__`` — on saturated
-runs those comparisons dominate the dispatch loop (see
+Heap entries are plain ``(time, seq, callback, args, event)`` tuples, so
+every sift inside ``heappush``/``heappop`` compares tuples in C (the
+unique ``seq`` settles every tie before the callback is reached).  The
+``event`` slot holds the cancellable :class:`Event` handle that
+:meth:`EventLoop.call_at`/:meth:`EventLoop.call_after` return, or
+``None`` for :meth:`EventLoop.post_after` — fire-and-forget scheduling
+that allocates no handle.  Most events (network deliveries, CPU
+completions) are never cancelled, so only timers pay for one (see
 ``docs/SIMULATOR.md``, Performance).
 """
 
@@ -31,29 +35,21 @@ DRAIN_MIN_TOMBSTONES = 512
 
 
 class Event:
-    """A scheduled callback.
+    """The cancellable handle of a scheduled callback.
 
     Events are returned by :meth:`EventLoop.call_at` and
     :meth:`EventLoop.call_after` and can be cancelled before they fire.
     Cancelled events stay in the heap but are skipped on dispatch, which
     is much cheaper than removing them eagerly; the loop tracks the
-    tombstone count and compacts the heap when they pile up.
+    tombstone count and compacts the heap when they pile up.  The
+    callback and its arguments live in the heap entry, not here.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_loop")
+    __slots__ = ("time", "seq", "cancelled", "_loop")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple,
-        loop: "EventLoop | None" = None,
-    ):
+    def __init__(self, time: float, seq: int, loop: "EventLoop | None" = None):
         self.time = time
         self.seq = seq
-        self.callback = callback
-        self.args = args
         self.cancelled = False
         self._loop = loop
 
@@ -98,7 +94,9 @@ class EventLoop:
 
     def __init__(self, start_time: float = 0.0, auto_drain: bool | None = None):
         self._now = start_time
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[
+            tuple[float, int, Callable[..., Any], tuple, Event | None]
+        ] = []
         self._seq = 0
         self._stopped = False
         self._dispatched = 0
@@ -157,9 +155,9 @@ class EventLoop:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(when, seq, callback, args, self)
+        event = Event(when, seq, self)
         heap = self._heap
-        heappush(heap, (when, seq, event))
+        heappush(heap, (when, seq, callback, args, event))
         if len(heap) > self._peak_heap:
             self._peak_heap = len(heap)
         return event
@@ -167,10 +165,10 @@ class EventLoop:
     def call_after(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` seconds of simulated time.
 
-        This is the hottest scheduling entry point (every network send
-        and service completion lands here), so the :meth:`call_at` body
-        is inlined rather than delegated — a non-negative delay can
-        never land in the past, which removes that check too.
+        The :meth:`call_at` body is inlined rather than delegated — a
+        non-negative delay can never land in the past, which removes
+        that check too.  Callers that never cancel should use
+        :meth:`post_after`, which skips the handle.
         """
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
@@ -179,12 +177,32 @@ class EventLoop:
         when = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        event = Event(when, seq, callback, args, self)
+        event = Event(when, seq, self)
         heap = self._heap
-        heappush(heap, (when, seq, event))
+        heappush(heap, (when, seq, callback, args, event))
         if len(heap) > self._peak_heap:
             self._peak_heap = len(heap)
         return event
+
+    def post_after(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``callback(*args)`` after ``delay`` seconds; no handle.
+
+        The hottest scheduling entry point: every network delivery and
+        CPU completion lands here.  Same checks, clock arithmetic and
+        sequence numbering as :meth:`call_after` — so the two interleave
+        exactly as two ``call_after`` calls would — but no :class:`Event`
+        is allocated and the dispatch loop skips the tombstone check.
+        """
+        if delay < 0:
+            raise SchedulingError(f"negative delay: {delay}")
+        if self._stopped:
+            raise StoppedError("cannot schedule events on a stopped loop")
+        seq = self._seq
+        self._seq = seq + 1
+        heap = self._heap
+        heappush(heap, (self._now + delay, seq, callback, args, None))
+        if len(heap) > self._peak_heap:
+            self._peak_heap = len(heap)
 
     def stop(self) -> None:
         """Stop the loop; :meth:`run_until` returns at the next dispatch point."""
@@ -212,18 +230,16 @@ class EventLoop:
         heap = self._heap
         pop = heappop
         while heap and not self._stopped:
-            entry = heap[0]
-            when = entry[0]
+            when, _, callback, args, event = heap[0]
             if when > horizon:
                 break
             pop(heap)
-            event = entry[2]
-            if event.cancelled:
+            if event is not None and event.cancelled:
                 self._cancelled_pending -= 1
                 continue
             self._now = when
             self._dispatched += 1
-            event.callback(*event.args)
+            callback(*args)
         if not self._stopped and self._now < horizon:
             self._now = horizon
 
@@ -240,14 +256,13 @@ class EventLoop:
         heap = self._heap
         pop = heappop
         while heap and not self._stopped:
-            entry = pop(heap)
-            event = entry[2]
-            if event.cancelled:
+            when, _, callback, args, event = pop(heap)
+            if event is not None and event.cancelled:
                 self._cancelled_pending -= 1
                 continue
-            self._now = entry[0]
+            self._now = when
             self._dispatched += 1
-            event.callback(*event.args)
+            callback(*args)
 
     def _note_cancelled(self) -> None:
         """One more tombstone; compact the heap when they dominate it."""
@@ -271,7 +286,9 @@ class EventLoop:
         """
         heap = self._heap
         before = len(heap)
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [
+            entry for entry in heap if entry[4] is None or not entry[4].cancelled
+        ]
         heapify(heap)
         dropped = before - len(heap)
         self._cancelled_pending = 0

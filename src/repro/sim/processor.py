@@ -16,6 +16,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.sim.loop import EventLoop
+from repro.sim.rng import lognormal
 
 
 class Processor:
@@ -107,7 +108,7 @@ class Processor:
         if cost < 0:
             raise ValueError(f"negative job cost: {cost}")
         if self.jitter_sigma > 0.0 and cost > 0.0:
-            cost *= self._jitter_rng.lognormvariate(0.0, self.jitter_sigma)
+            cost *= lognormal(self._jitter_rng.random, 0.0, self.jitter_sigma)
         self._queue.append((cost / self.speed, callback, args))
         if len(self._queue) > self.max_queue_length:
             self.max_queue_length = len(self._queue)
@@ -121,7 +122,7 @@ class Processor:
         cost, callback, args = self._queue.popleft()
         self._running = True
         self.busy_time += cost
-        self._loop.call_after(cost, self._complete, callback, args)
+        self._loop.post_after(cost, self._complete, callback, args)
 
     def _complete(self, callback: Callable[..., Any], args: tuple) -> None:
         if self._halted:

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+from math import exp, log
+from random import NV_MAGICCONST
+from typing import Callable
 
 
 class RngRegistry:
@@ -43,6 +46,25 @@ class RngRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._streams
+
+
+def lognormal(draw: Callable[[], float], mu: float, sigma: float) -> float:
+    """``Random.lognormvariate(mu, sigma)`` in one frame instead of two.
+
+    ``draw`` is a stream's bound ``random`` method.  This is the
+    stdlib's Kinderman–Monahan loop from ``normalvariate`` with the
+    final ``exp`` folded in: it consumes the same uniforms in the same
+    order and does the same float arithmetic, so the stream state and
+    the result are bit-identical to ``rng.lognormvariate(mu, sigma)``.
+    Network latency and CPU jitter draw through it on every message and
+    job, where the two stdlib frames were a measurable share of wall.
+    """
+    while True:
+        u1 = draw()
+        u2 = 1.0 - draw()
+        z = NV_MAGICCONST * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -log(u2):
+            return exp(mu + z * sigma)
 
 
 def request_hash_unit(cid: int, onr: int, salt: int = 0) -> float:

@@ -149,7 +149,7 @@ class OpenLoopDriver:
                 if boundary is not None and boundary < self.stop_time:
                     self.loop.call_at(boundary, self._arrival)
                 return
-            self.loop.call_after(_ZERO_RATE_POLL, self._arrival)
+            self.loop.post_after(_ZERO_RATE_POLL, self._arrival)
             return
         self.arrivals += 1
         if self._idle:
@@ -157,7 +157,7 @@ class OpenLoopDriver:
             client._issue_next()
         else:
             self.shed_arrivals += 1
-        self.loop.call_after(self.rng.expovariate(rate), self._arrival)
+        self.loop.post_after(self.rng.expovariate(rate), self._arrival)
 
     # -- client pool -------------------------------------------------------
 
@@ -169,7 +169,7 @@ class OpenLoopDriver:
         afterwards.
         """
         if delay > 0:
-            self.loop.call_after(delay, self._idle.append, client)
+            self.loop.post_after(delay, self._idle.append, client)
         else:
             self._idle.append(client)
 

@@ -469,6 +469,25 @@ def test_obs002_tracks_derived_names():
     assert "OBS002" in active_rules(lint(source, "repro.obs.hub"))
 
 
+def test_obs002_flags_fire_and_forget_scheduling():
+    # post_after schedules exactly like call_after, minus the handle.
+    source = """\
+    class Sampler:
+        def sample(self, cluster):
+            cluster.loop.post_after(0.1, self.sample, cluster)
+    """
+    assert "OBS002" in active_rules(lint(source, "repro.obs.probes"))
+
+
+def test_perf001_flags_post_after_through_a_chain_in_a_loop():
+    source = """\
+    def deliver_all(self, messages):
+        for message in messages:
+            self._loop.post_after(0.1, self._deliver, message)
+    """
+    assert "PERF001" in active_rules(lint(source, "repro.net.network"))
+
+
 def test_obs003_permits_type_checking_imports():
     source = """\
     from typing import TYPE_CHECKING

@@ -168,7 +168,7 @@ def _plant_dead_slot(replica, cid: int, onr: int, executed: int) -> None:
     ``executed`` >= ``onr`` elsewhere while (cid, onr) still holds a slot."""
     rid = (cid, onr)
     request = Request(rid, _any_command())
-    replica.active[rid] = ActiveRequest(request, 0.0)
+    replica._occupy_slot(rid, ActiveRequest(request, 0.0))
     replica.request_store[rid] = request
     replica.executed_onr[cid] = executed
 
@@ -231,6 +231,97 @@ class TestLeakFix:
         assert (88, 1) not in replica.active
         assert (88, 1) in replica.rejected_cache
         assert replica.stats["accepted"] >= 1
+
+
+def _assert_index_matches_active(replica) -> None:
+    """The per-client index holds exactly ``active``'s rids, by client."""
+    grouped: dict[int, set] = {}
+    for rid in replica.active:
+        grouped.setdefault(rid[0], set()).add(rid)
+    assert replica._active_by_client == grouped
+
+
+def _dead_slots_by_scan(replica) -> float:
+    """``dead_slots`` the long way: every active rid against its client."""
+    executed = replica.executed_onr
+    return float(sum(1 for rid in replica.active if executed.get(rid[0], 0) >= rid[1]))
+
+
+class TestActiveIndex:
+    """``IdemReplica._active_by_client`` mirrors ``active`` at all times."""
+
+    def test_dedup_release_caches_in_ascending_rid_order(self):
+        cluster = TestLeakFix()._cluster()
+        replica = cluster.replicas[1]
+        for onr in (9, 70000, 12, 5, 1000, 3):
+            _plant_dead_slot(replica, cid=77, onr=onr, executed=1000)
+        _plant_dead_slot(replica, cid=66, onr=1, executed=1)
+        dead = [rid for rid in replica._active_by_client[77] if rid[1] <= 1000]
+        assert dead != sorted(dead)  # the index alone does not give the order
+        assert replica.probe_state()["dead_slots"] == _dead_slots_by_scan(replica) == 6
+        replica._release_dedup_dead(77)
+        assert list(replica.rejected_cache) == [
+            (77, 3), (77, 5), (77, 9), (77, 12), (77, 1000)
+        ]
+        assert list(replica.active) == [(77, 70000), (66, 1)]
+        assert replica.probe_state()["dead_slots"] == 1
+        _assert_index_matches_active(replica)
+
+    def test_index_tracks_a_storm_arm(self, monkeypatch):
+        from repro.cluster import runner
+        from repro.experiments.figR_retry_storm import (
+            ANY_RETRY,
+            BASE_OVERRIDES,
+            IDEM_OVERRIDES,
+            storm_spec,
+        )
+
+        built = []
+        checks = []
+        build = runner.build_cluster
+
+        def check(replicas):
+            for replica in replicas:
+                _assert_index_matches_active(replica)
+                assert replica.probe_state()["dead_slots"] == _dead_slots_by_scan(
+                    replica
+                )
+            checks.append(len(checks))
+
+        def build_and_audit(*args, **kwargs):
+            cluster = build(*args, **kwargs)
+            built.append(cluster)
+            step = 0.25
+            for i in range(1, int(kwargs["stop_time"] / step) + 1):
+                cluster.loop.call_at(i * step, check, cluster.replicas)
+            return cluster
+
+        monkeypatch.setattr(runner, "build_cluster", build_and_audit)
+        overrides = {**BASE_OVERRIDES, **IDEM_OVERRIDES, **ANY_RETRY}
+        runner.run_experiment(storm_spec("idem", "naive-any", overrides, 0))
+        (cluster,) = built
+        assert checks
+        # The audit ran through the storm itself, rejections included.
+        assert sum(r.stats["rejected"] for r in cluster.replicas) > 0
+        check(cluster.replicas)
+
+    @pytest.mark.parametrize("system", ["idem", "idem-multileader"])
+    def test_index_survives_leader_crash_and_state_transfer(self, system):
+        cluster = build_cluster(
+            system, 6, seed=1, profile=small_profile(), stop_time=2.0
+        )
+        cluster.run_until(0.8)
+        cluster.crash_replica(0)
+        cluster.run_until(1.5)
+        recovered = cluster.recover_replica(0)
+        cluster.run_until(2.0)
+        assert recovered.stats["state_transfers"] >= 1
+        for replica in cluster.replicas:
+            _assert_index_matches_active(replica)
+        cluster.stop_clients()
+        cluster.run_until(3.0)
+        for replica in cluster.replicas:
+            _assert_index_matches_active(replica)
 
 
 class TestStormRegression:

@@ -329,3 +329,66 @@ def test_peak_heap_tracks_high_water_mark():
     loop.run_until(1.0)
     assert loop.pending_events == 0
     assert loop.peak_heap == 7
+
+
+# -- post_after: fire-and-forget scheduling ------------------------------
+
+
+def test_post_after_returns_no_handle():
+    loop = EventLoop()
+    seen = []
+    assert loop.post_after(0.5, seen.append, "x") is None
+    loop.run_until(1.0)
+    assert seen == ["x"]
+
+
+def test_post_after_interleaves_by_seq_with_call_after():
+    loop = EventLoop()
+    seen = []
+    for label in range(6):
+        schedule = loop.post_after if label % 2 else loop.call_after
+        schedule(0.5, seen.append, label)
+    loop.call_at(0.5, seen.append, 6)
+    loop.post_after(0.25, seen.append, "early")
+    loop.run_until(1.0)
+    assert seen == ["early", 0, 1, 2, 3, 4, 5, 6]
+
+
+def test_post_after_counts_in_dispatched_and_peak_heap():
+    loop = EventLoop()
+    for _ in range(3):
+        loop.call_after(0.2, lambda: None)
+    for _ in range(4):
+        loop.post_after(0.1, lambda: None)
+    assert loop.pending_events == 7
+    loop.run_until(1.0)
+    assert loop.dispatched_events == 7
+    assert loop.peak_heap == 7
+
+
+def test_post_after_events_survive_drain_cancelled():
+    loop = EventLoop()
+    seen = []
+    loop.post_after(0.3, seen.append, "posted")
+    gone = loop.call_after(0.2, seen.append, "cancelled")
+    loop.call_after(0.1, seen.append, "kept")
+    gone.cancel()
+    assert loop.drain_cancelled() == 1
+    assert loop.pending_events == 2
+    loop.run()
+    assert seen == ["kept", "posted"]
+    assert loop.cancelled_pending == 0
+
+
+def test_post_after_on_stopped_loop_raises():
+    loop = EventLoop()
+    loop.stop()
+    with pytest.raises(StoppedError):
+        loop.post_after(0.1, lambda: None)
+
+
+def test_post_after_negative_delay_raises():
+    loop = EventLoop()
+    with pytest.raises(SchedulingError):
+        loop.post_after(-0.1, lambda: None)
+    assert loop.pending_events == 0

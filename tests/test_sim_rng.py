@@ -1,6 +1,12 @@
-"""Unit tests for the RNG registry and the shared request-hash function."""
+"""Unit tests for the RNG registry, the inlined log-normal draw and the
+shared request-hash function."""
 
-from repro.sim.rng import RngRegistry, request_hash_unit
+import math
+import random
+
+import pytest
+
+from repro.sim.rng import RngRegistry, lognormal, request_hash_unit
 
 
 def test_same_seed_same_streams():
@@ -70,3 +76,15 @@ def test_request_hash_unit_roughly_uniform():
     values = [request_hash_unit(cid, onr) for cid in range(100) for onr in range(1, 11)]
     mean = sum(values) / len(values)
     assert 0.45 < mean < 0.55
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.25, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2027])
+def test_lognormal_is_bit_identical_to_the_stdlib(seed, sigma):
+    mu = math.log(100e-6)
+    stdlib = random.Random(seed)
+    inlined = random.Random(seed)
+    expected = [stdlib.lognormvariate(mu, sigma) for _ in range(2000)]
+    assert [lognormal(inlined.random, mu, sigma) for _ in range(2000)] == expected
+    # Same uniforms consumed: the streams stay in lockstep afterwards.
+    assert inlined.getstate() == stdlib.getstate()
